@@ -36,11 +36,11 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/val"
@@ -79,8 +79,6 @@ type Options struct {
 	SnapshotBytes int64
 	// SegmentBytes rotates log segments (0 = 4 MiB default).
 	SegmentBytes int64
-	// GroupInterval bounds the group-commit flush wait (0 = 2 ms default).
-	GroupInterval time.Duration
 	// Crash arms the deterministic fault-injection seam (nil = no faults).
 	Crash *Crashpoints
 }
@@ -148,12 +146,11 @@ func Wrap(inner engine.Engine, opt Options) (*Engine, error) {
 	// across restarts.
 	e.seqCell = inner.NewCell(int64(rec.lastSeq))
 	l, err := openLog(logConfig{
-		dir:           dir,
-		policy:        opt.Fsync,
-		segmentBytes:  opt.SegmentBytes,
-		groupInterval: opt.GroupInterval,
-		startSeq:      rec.lastSeq + 1,
-		crash:         opt.Crash,
+		dir:          dir,
+		policy:       opt.Fsync,
+		segmentBytes: opt.SegmentBytes,
+		startSeq:     rec.lastSeq + 1,
+		crash:        opt.Crash,
 	})
 	if err != nil {
 		return nil, err
@@ -204,9 +201,15 @@ func (e *Engine) Thread(id int) engine.Thread {
 // counted like any other read-only commit).
 func (e *Engine) Stats() engine.Stats { return e.inner.Stats() }
 
-// DurabilityInfo reports the persistence configuration and what recovery
-// found at boot.
-func (e *Engine) DurabilityInfo() engine.DurabilityInfo { return e.info }
+// DurabilityInfo reports the persistence configuration, what recovery found
+// at boot, and the log's live commit and fsync counters.
+func (e *Engine) DurabilityInfo() engine.DurabilityInfo {
+	info := e.info
+	e.log.mu.Lock()
+	info.Commits, info.Fsyncs = e.log.commits, e.log.fsyncs
+	e.log.mu.Unlock()
+	return info
+}
 
 // WALSync forces buffered records to stable storage regardless of policy.
 func (e *Engine) WALSync() error { return e.log.Sync() }
@@ -242,30 +245,115 @@ func (e *Engine) maybeCompact() {
 	}()
 }
 
-// compact captures a consistent snapshot and installs it. The capture is
-// one read-only inner transaction over the ticket cell and every data cell:
-// serializability makes the ticket value s the exact watermark of the
-// captured state (every commit ≤ s is in it, nothing above s is). Cells can
-// be created concurrently, so after the capture returns the cell count is
-// re-checked: if it grew, a commit ≤ s could have written a cell the
-// capture missed (its NewCell, which appends under mu, happened before that
-// commit, which happened before the capture returned — so the growth is
-// visible here), and the capture retries over the larger set. Compaction is
-// an optimization, so after bounded retries it simply gives up until the
-// next trigger.
+// compactChunk is how many cells one checkpoint transaction reads: enough
+// to amortize the transaction, few enough that its read set stays a few KiB
+// and rarely conflicts with the updates running beside it.
+const compactChunk = 1024
+
+// compact writes a fuzzy checkpoint (Mohan et al., ARIES, TODS'92) and
+// installs it as the snapshot. One read-only transaction over the whole
+// store would carry a read set as large as the store and keep restarting
+// under concurrent updates, so the cells are read compactChunk at a time,
+// each chunk in its own read-only transaction:
+//
+//  1. s0 is the ticket, read first. Every commit ≤ s0 precedes every chunk,
+//     and every cell such a commit wrote was created before the cell count
+//     is read next (NewCell appends under mu before the commit can use it).
+//  2. Each chunk sees its cells at some instant after s0.
+//  3. s1 is the ticket read after the last chunk: every commit a chunk saw
+//     is ≤ s1. The log is then synced through s1.
+//
+// The snapshot is installed at watermark s0. Recovery replays every record
+// above s0 over it, and redo records carry whole values, so replaying
+// (s0, s1] — durable by step 3 — overwrites every cell a chunk caught
+// between those commits. Compaction is an optimization: any failure (an
+// unencodable cell, a wedged log) just defers it to the next trigger.
 func (e *Engine) compact() {
 	if e.log.Err() != nil {
 		return
 	}
-	watermark, entries, err := e.CaptureSnapshot()
+	e.snapOnce.Do(func() { e.snapThread = e.inner.Thread(snapThreadID) })
+	e.snapMu.Lock() // the capture thread is single-goroutine
+	defer e.snapMu.Unlock()
+	s0, err := e.readTicket()
 	if err != nil {
-		// Compaction is an optimization: an unencodable cell or exhausted
-		// retries just defers it until the next trigger.
 		return
 	}
-	if e.log.WriteSnapshot(watermark, entries) == nil {
+	if e.log.installSnapshot(s0, func(w io.Writer) error { return e.writeCheckpoint(w, s0) }) == nil {
 		e.bytesSince.Store(0)
 	}
+}
+
+// writeCheckpoint streams the 'S' payload of a fuzzy checkpoint at
+// watermark s0 to w, chunk by chunk, then syncs the log through s1 (steps
+// 2–3 of compact). Called with snapMu held.
+func (e *Engine) writeCheckpoint(w io.Writer, s0 uint64) error {
+	e.mu.Lock()
+	cells := e.cells[:len(e.cells):len(e.cells)] // appends never touch this prefix
+	e.mu.Unlock()
+	n := len(cells)
+	// Recovered cells the application has not re-created yet still belong
+	// to the durable state: carry them so a snapshot never drops them.
+	var extra []uint64
+	for id := range e.recovered {
+		if id >= uint64(n) {
+			extra = append(extra, id)
+		}
+	}
+	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
+
+	buf := appendSnapshotHeader(nil, s0, n+len(extra))
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	for lo := 0; lo < n; lo += compactChunk {
+		chunk := cells[lo:min(lo+compactChunk, n)]
+		if err := e.snapThread.RunReadOnly(func(tx engine.Txn) error {
+			buf = buf[:0]
+			for i, c := range chunk {
+				v, err := tx.Read(c)
+				if err != nil {
+					return err
+				}
+				if buf, err = appendSnapshotEntry(buf, uint64(lo+i), val.OfAny(v)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	buf = buf[:0]
+	for _, id := range extra {
+		var err error
+		if buf, err = appendSnapshotEntry(buf, id, e.recovered[id]); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	s1, err := e.readTicket()
+	if err != nil {
+		return err
+	}
+	return e.log.syncThrough(s1)
+}
+
+// readTicket returns the last assigned commit sequence number. Called with
+// snapMu held.
+func (e *Engine) readTicket() (uint64, error) {
+	var s int64
+	err := e.snapThread.RunReadOnly(func(tx engine.Txn) error {
+		var err error
+		s, err = engine.Get[int64](tx, e.seqCell)
+		return err
+	})
+	return uint64(s), err
 }
 
 // CaptureSnapshot returns a consistent full-state snapshot: the commit
@@ -277,9 +365,9 @@ func (e *Engine) compact() {
 // re-checked: if it grew, a commit ≤ s could have written a cell the
 // capture missed (its NewCell, which appends under mu, happened before that
 // commit, which happened before the capture returned — so the growth is
-// visible here), and the capture retries over the larger set. Compaction
-// and the replication primary's snapshot-then-tail catch-up both feed off
-// this.
+// visible here), and the capture retries over the larger set. The
+// replication primary's snapshot-then-tail catch-up feeds off this: a
+// follower serves reads from the installed state, so it must be exact.
 func (e *Engine) CaptureSnapshot() (uint64, []Entry, error) {
 	e.snapOnce.Do(func() { e.snapThread = e.inner.Thread(snapThreadID) })
 	e.snapMu.Lock() // the capture thread is single-goroutine
@@ -467,11 +555,13 @@ func (e *Engine) ApplyReplicated(seq uint64, writes []Entry) error {
 // InstallReplicaSnapshot replaces the follower's state wholesale with a
 // primary snapshot at watermark seq: the snapshot is written to the
 // follower's own WAL first (so a crash mid-install recovers to either the
-// old state or the new snapshot, never between), the log sequencer jumps to
-// seq+1 on a fresh segment, and then one inner transaction overwrites every
-// cell and the ticket. Serving reads interleave safely — they see the old
-// state or the new one atomically. Refuses to regress behind already-applied
-// records.
+// old state or the new snapshot, never between), then one inner transaction
+// overwrites every cell and the ticket, and only then does the log sequencer
+// jump to seq+1 on a fresh segment — so the applied-seq watermark
+// (AppendedSeq) never runs ahead of the state readers see. Serving reads
+// interleave safely — they see the old state or the new one atomically.
+// Refuses to regress behind already-applied records. Any failure after the
+// on-disk install wedges the log: disk and memory may have diverged.
 func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value) error {
 	if err := e.log.usable(); err != nil {
 		return err
@@ -496,9 +586,6 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value)
 	if err := e.log.WriteSnapshot(seq, entries); err != nil {
 		return err
 	}
-	if err := e.log.skipTo(seq + 1); err != nil {
-		return err
-	}
 	err = e.applyThread.Run(func(tx engine.Txn) error {
 		if err := engine.Set(tx, e.seqCell, int64(seq)); err != nil {
 			return err
@@ -510,9 +597,13 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value)
 		}
 		return nil
 	})
+	if err == nil {
+		err = e.log.skipTo(seq + 1)
+	}
 	if err != nil {
-		// The on-disk image already moved to the snapshot; memory failing to
-		// follow leaves the two divergent, so wedge rather than limp on.
+		// The on-disk image already moved to the snapshot; memory or the
+		// sequencer failing to follow leaves them divergent, so wedge rather
+		// than limp on.
 		e.log.mu.Lock()
 		e.log.fail(fmt.Errorf("durable: replica snapshot apply failed after install: %w", err))
 		e.log.mu.Unlock()
@@ -711,7 +802,7 @@ func init() {
 		}
 		caps := info.Capabilities
 		caps.Durable = true
-		caps.Tunables = append(append([]string{}, caps.Tunables...), "wal", "fsync", "snapshot", "segment", "group-interval")
+		caps.Tunables = append(append([]string{}, caps.Tunables...), "wal", "fsync", "snapshot", "segment")
 		engine.Register("durable/"+base, engine.Info{
 			Summary:      "recoverable " + base + ": redo WAL + compacting snapshot, crash recovery on boot",
 			Capabilities: caps,
@@ -725,7 +816,6 @@ func init() {
 				Fsync:         o.Fsync,
 				SnapshotBytes: o.SnapshotBytes,
 				SegmentBytes:  o.SegmentBytes,
-				GroupInterval: o.GroupInterval,
 			})
 		})
 	}

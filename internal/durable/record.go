@@ -256,17 +256,27 @@ func DecodeCommitPayload(b []byte) (seq uint64, writes []Entry, err error) {
 // appendSnapshotPayload appends the 'S' payload for a snapshot at watermark
 // seq holding entries (sorted by caller for deterministic bytes).
 func appendSnapshotPayload(b []byte, seq uint64, entries []Entry) ([]byte, error) {
-	b = append(b, recSnapshot)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
+	b = appendSnapshotHeader(b, seq, len(entries))
 	var err error
 	for _, e := range entries {
-		b = binary.AppendUvarint(b, e.ID)
-		if b, err = appendValue(b, e.V); err != nil {
+		if b, err = appendSnapshotEntry(b, e.ID, e.V); err != nil {
 			return b, err
 		}
 	}
 	return b, nil
+}
+
+// appendSnapshotHeader appends the head of an 'S' payload: the watermark
+// and the number of entries that follow.
+func appendSnapshotHeader(b []byte, seq uint64, entries int) []byte {
+	b = append(b, recSnapshot)
+	b = binary.AppendUvarint(b, seq)
+	return binary.AppendUvarint(b, uint64(entries))
+}
+
+// appendSnapshotEntry appends one cell's id and value to an 'S' payload.
+func appendSnapshotEntry(b []byte, id uint64, v val.Value) ([]byte, error) {
+	return appendValue(binary.AppendUvarint(b, id), v)
 }
 
 // DecodeSnapshotPayload parses an 'S' payload into the watermark and a
@@ -310,9 +320,15 @@ func DecodeSnapshotPayload(b []byte) (seq uint64, values map[uint64]val.Value, e
 // after frameHeaderLen reserved bytes.
 func frameAround(b []byte) []byte {
 	payload := b[frameHeaderLen:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	putFrameHeader(b, len(payload), crc32.ChecksumIEEE(payload))
 	return b
+}
+
+// putFrameHeader writes a frame header for a payload of n bytes with
+// checksum crc into hdr[:frameHeaderLen].
+func putFrameHeader(hdr []byte, n int, crc uint32) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 }
 
 // ReadFrame reads one frame from r. It returns io.EOF at a clean end of

@@ -6,40 +6,52 @@ package durable
 import (
 	"bufio"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 )
 
 // WriteSnapshot atomically installs a snapshot of entries at watermark seq
-// and deletes every segment the watermark fully covers. The install is
-// write-tmp → fsync → rename → fsync-dir, so a crash leaves either the old
-// snapshot or the new one, never a torn one; a crash between rename and
-// segment deletion leaves stale segments whose records recovery then skips
-// (they are ≤ the watermark). Concurrent appends are safe: only segments
-// strictly older than the active one are ever deleted.
+// and deletes every segment the watermark fully covers (see
+// installSnapshot).
 func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 	if err := l.Err(); err != nil {
 		return err
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	buf := make([]byte, len(snapshotMagic)+frameHeaderLen, len(snapshotMagic)+frameHeaderLen+64+8*len(entries))
-	copy(buf, snapshotMagic)
-	payload, err := appendSnapshotPayload(buf, seq, entries)
+	payload, err := appendSnapshotPayload(nil, seq, entries)
 	if err != nil {
 		return err
 	}
-	frameAround(payload[len(snapshotMagic):])
+	return l.installSnapshot(seq, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
+}
 
+// installSnapshot writes a snapshot file whose 'S' payload (watermark seq)
+// write streams, installs it and deletes every segment the watermark fully
+// covers. write returns only once the snapshot may go live. A snapshot
+// older than the one already installed is refused. The install is
+// write-tmp → fsync → rename → fsync-dir, so a crash leaves either the old
+// snapshot or the new one, never a torn one; a crash between rename and
+// segment deletion leaves stale segments whose records recovery then skips
+// (they are ≤ the watermark). Concurrent appends are safe: only segments
+// strictly older than the active one are ever deleted.
+func (l *Log) installSnapshot(seq uint64, write func(w io.Writer) error) error {
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	if seq < l.snapSeq {
+		return fmt.Errorf("durable: snapshot at %d is older than the installed one at %d", seq, l.snapSeq)
+	}
 	tmp := filepath.Join(l.cfg.dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(payload); err == nil {
-		err = w.Flush()
-	}
+	err = writeSnapshotFile(f, write)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -65,6 +77,7 @@ func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 	if err := syncDir(l.cfg.dir); err != nil {
 		return err
 	}
+	l.snapSeq = seq
 
 	if l.cfg.crash.fire(CrashAfterSnapshotRename) {
 		// Crash between the rename and old-segment truncation: the new
@@ -77,6 +90,32 @@ func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 	}
 
 	return l.truncateCovered(seq)
+}
+
+// writeSnapshotFile writes the snapshot magic and one frame around the
+// payload write streams. The payload is never held in memory whole: the
+// frame header is written last, once the payload's length and CRC are
+// known (the file is not live until renamed).
+func writeSnapshotFile(f *os.File, write func(w io.Writer) error) error {
+	var head [len(snapshotMagic) + frameHeaderLen]byte
+	copy(head[:], snapshotMagic)
+	if _, err := f.Write(head[:]); err != nil {
+		return err
+	}
+	bw, sum := bufio.NewWriter(f), crc32.NewIEEE()
+	if err := write(io.MultiWriter(bw, sum)); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	end, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return err
+	}
+	putFrameHeader(head[len(snapshotMagic):], int(end)-len(head), sum.Sum32())
+	_, err = f.WriteAt(head[len(snapshotMagic):], int64(len(snapshotMagic)))
+	return err
 }
 
 // truncateCovered deletes every segment all of whose records the snapshot

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/val"
 )
@@ -37,9 +36,6 @@ const (
 	// defaultSegmentBytes rotates segments at 4 MiB; tests shrink it to
 	// force rotation with tiny workloads.
 	defaultSegmentBytes = 4 << 20
-	// defaultGroupInterval bounds how long a group-commit acknowledgment
-	// may wait for the shared fsync.
-	defaultGroupInterval = 2 * time.Millisecond
 )
 
 var (
@@ -130,12 +126,11 @@ func (c *Crashpoints) Fired() string {
 
 // logConfig parameterizes openLog.
 type logConfig struct {
-	dir           string
-	policy        string // FsyncAlways | FsyncGroup | FsyncNever
-	segmentBytes  int64
-	groupInterval time.Duration
-	startSeq      uint64 // first seq this log will accept (recovered lastSeq+1)
-	crash         *Crashpoints
+	dir          string
+	policy       string // FsyncAlways | FsyncGroup | FsyncNever
+	segmentBytes int64
+	startSeq     uint64 // first seq this log will accept (recovered lastSeq+1)
+	crash        *Crashpoints
 }
 
 // Log is the append side of the WAL. Commit acknowledgments respect the
@@ -145,12 +140,20 @@ type logConfig struct {
 // Appends are sequenced: Commit(seq, …) blocks until every lower seq has
 // been appended, so the on-disk log is always a dense prefix of the commit
 // order — recovery can treat a sequence gap as corruption.
+//
+// Group commit is leader-based (DeWitt et al., SIGMOD'84): the first
+// committer that finds its record unsynced and no fsync in flight becomes
+// the leader, flushes the buffer and fsyncs with l.mu released; committers
+// that append meanwhile wait, and when the fsync lands one of them leads the
+// next batch. Because the leader syncs l.f outside the mutex, every other
+// path that touches l.f or l.buf waits out the in-flight fsync first
+// (awaitSync).
 type Log struct {
 	cfg logConfig
 
 	mu        sync.Mutex
 	seqCond   *sync.Cond // append turnstile: waits for nextSeq == seq
-	flushCond *sync.Cond // group-commit ack: waits for flushedSeq ≥ seq
+	flushCond *sync.Cond // group-commit ack: flushedSeq ≥ seq, or the leader's fsync ended
 
 	f           *os.File
 	buf         *bufio.Writer
@@ -158,24 +161,30 @@ type Log struct {
 	nextSeq     uint64 // seq the next append must carry
 	appendedSeq uint64 // highest seq written into buf
 	flushedSeq  uint64 // highest seq known flushed+synced (tracked under group/always)
+	syncing     bool   // a group-commit leader is fsyncing l.f with l.mu released
 	sticky      error  // ErrCrashed / wrapped I/O error; wedges the log
 	closed      bool
+	// commits counts records this Log appended; fsyncs counts the segment
+	// fsyncs that made records durable (leader, always, rotation, Sync,
+	// Close). Their ratio is the group-commit batch size.
+	commits uint64
+	fsyncs  uint64
 	// tap, when set, observes every appended frame in seq order (the
 	// replication feed). Called with l.mu held, immediately after the
 	// append; the frame bytes are only valid during the call. The tap must
 	// never block and never touch the Log.
 	tap func(seq uint64, frame []byte)
 
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
+	// snapMu serializes snapshot installs — compaction and a follower's
+	// replica snapshot share snapshot.tmp — and snapSeq is the watermark of
+	// the last one installed, so an older snapshot never replaces a newer.
+	snapMu  sync.Mutex
+	snapSeq uint64
 }
 
 func openLog(cfg logConfig) (*Log, error) {
 	if cfg.segmentBytes <= 0 {
 		cfg.segmentBytes = defaultSegmentBytes
-	}
-	if cfg.groupInterval <= 0 {
-		cfg.groupInterval = defaultGroupInterval
 	}
 	switch cfg.policy {
 	case FsyncAlways, FsyncGroup, FsyncNever:
@@ -195,11 +204,6 @@ func openLog(cfg logConfig) (*Log, error) {
 	if err := l.openSegment(cfg.startSeq); err != nil {
 		return nil, err
 	}
-	if cfg.policy == FsyncGroup {
-		l.stopFlusher = make(chan struct{})
-		l.flusherDone = make(chan struct{})
-		go l.flusher()
-	}
 	return l, nil
 }
 
@@ -210,8 +214,8 @@ func segmentName(firstSeq uint64) string {
 // openSegment finalizes the current segment (if any) and starts a fresh one
 // whose name records the first seq it will hold. Finalized segments are
 // always flushed and synced, whatever the policy — so only the final segment
-// of a log can ever be torn. Called with l.mu held (or before the Log is
-// shared).
+// of a log can ever be torn. Called with l.mu held and no fsync in flight
+// (or before the Log is shared).
 func (l *Log) openSegment(firstSeq uint64) error {
 	if l.f != nil {
 		if err := l.buf.Flush(); err != nil {
@@ -220,6 +224,7 @@ func (l *Log) openSegment(firstSeq uint64) error {
 		if err := l.f.Sync(); err != nil {
 			return err
 		}
+		l.fsyncs++
 		if err := l.f.Close(); err != nil {
 			return err
 		}
@@ -268,6 +273,39 @@ func (l *Log) fail(err error) {
 	l.flushCond.Broadcast()
 }
 
+// awaitSync waits until no group-commit leader is fsyncing, so the caller
+// may flush, sync, rotate or close l.f. Called with l.mu held.
+func (l *Log) awaitSync() {
+	for l.syncing {
+		l.flushCond.Wait()
+	}
+}
+
+// leadGroupFlush is one group-commit leader turn: flush everything appended
+// so far, fsync it with l.mu released so later committers can append the
+// next batch meanwhile, then publish the new flushedSeq and wake every
+// waiter. An fsync error wedges the log, so the waiters wake with the sticky
+// error. Called with l.mu held and no fsync in flight.
+func (l *Log) leadGroupFlush() {
+	target := l.appendedSeq
+	l.syncing = true
+	err := l.buf.Flush()
+	if err == nil {
+		f := l.f
+		l.mu.Unlock()
+		err = f.Sync()
+		l.mu.Lock()
+	}
+	l.syncing = false
+	if err != nil {
+		l.fail(fmt.Errorf("durable: group fsync: %w", err))
+		return
+	}
+	l.fsyncs++
+	l.flushedSeq = max(l.flushedSeq, target)
+	l.flushCond.Broadcast()
+}
+
 // Err returns the sticky crash/I/O error, or nil.
 func (l *Log) Err() error {
 	l.mu.Lock()
@@ -291,8 +329,10 @@ func (l *Log) usable() error {
 
 // Commit appends the redo frame for seq (payload pre-encoded by the caller,
 // with frameHeaderLen reserved bytes up front) and blocks per the fsync
-// policy until the record is acknowledged durable. It returns the frame
-// length appended (the compaction trigger's byte feed).
+// policy until the record is acknowledged durable: "always" fsyncs inline,
+// "group" leads or joins a group-commit fsync (see Log), "never" returns at
+// once. It returns the frame length appended (the compaction trigger's byte
+// feed).
 func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 	frame = frameAround(frame)
 	l.mu.Lock()
@@ -308,6 +348,7 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 	}
 
 	if l.cfg.crash.fire(CrashAfterPartialRecord) {
+		l.awaitSync()
 		// Leave exactly PartialBytes of the frame behind, synced, then
 		// wedge: the deterministic torn-final-record fault.
 		cut := l.cfg.crash.PartialBytes
@@ -337,6 +378,7 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 	l.segSize += int64(len(frame))
 	l.appendedSeq = seq
 	l.nextSeq = seq + 1
+	l.commits++
 	if l.tap != nil {
 		// Under l.mu, so the tap sees frames strictly in seq order — the
 		// property the replication stream inherits from the sequencer.
@@ -347,6 +389,7 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 	if l.cfg.crash.fire(CrashAfterRecordBeforeSync) {
 		// Full frame reaches the OS, no fsync: after a real power cut the
 		// record's fate would be undecided; in-process it survives.
+		l.awaitSync()
 		if err := l.buf.Flush(); err != nil {
 			l.fail(fmt.Errorf("durable: crashpoint flush: %w", err))
 			return 0, l.sticky
@@ -367,12 +410,17 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 			l.fail(fmt.Errorf("durable: flush: %w", err))
 			return 0, l.sticky
 		}
+		l.fsyncs++
 		l.flushedSeq = seq
 	case FsyncNever:
 		// Acknowledge immediately; acknowledged commits can be lost.
 	case FsyncGroup:
 		for l.sticky == nil && l.flushedSeq < seq {
-			l.flushCond.Wait()
+			if l.syncing {
+				l.flushCond.Wait()
+			} else {
+				l.leadGroupFlush()
+			}
 		}
 		if l.sticky != nil {
 			return 0, l.sticky
@@ -380,41 +428,19 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 	}
 
 	if l.segSize >= l.cfg.segmentBytes {
-		if err := l.openSegment(l.nextSeq); err != nil {
-			l.fail(fmt.Errorf("durable: segment rotation: %w", err))
-			return 0, l.sticky
+		l.awaitSync()
+		// Another committer may have rotated while this one waited.
+		if l.sticky == nil && !l.closed && l.segSize >= l.cfg.segmentBytes {
+			if err := l.openSegment(l.nextSeq); err != nil {
+				l.fail(fmt.Errorf("durable: segment rotation: %w", err))
+				return 0, l.sticky
+			}
+			// Rotation synced everything appended so far.
+			l.flushedSeq = l.appendedSeq
+			l.flushCond.Broadcast()
 		}
 	}
 	return int64(len(frame)), nil
-}
-
-// flusher is the group-commit heartbeat: every groupInterval it flushes and
-// fsyncs whatever has been appended and wakes the committers waiting on it.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	t := time.NewTicker(l.cfg.groupInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopFlusher:
-			return
-		case <-t.C:
-		}
-		l.mu.Lock()
-		if l.sticky == nil && !l.closed && l.appendedSeq > l.flushedSeq {
-			err := l.buf.Flush()
-			if err == nil {
-				err = l.f.Sync()
-			}
-			if err != nil {
-				l.fail(fmt.Errorf("durable: group fsync: %w", err))
-			} else {
-				l.flushedSeq = l.appendedSeq
-				l.flushCond.Broadcast()
-			}
-		}
-		l.mu.Unlock()
-	}
 }
 
 // setTap installs (or clears, with nil) the append observer. Install it
@@ -443,6 +469,7 @@ func (l *Log) AppendedSeq() uint64 {
 func (l *Log) skipTo(firstSeq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSync()
 	if l.sticky != nil {
 		return l.sticky
 	}
@@ -467,11 +494,30 @@ func (l *Log) skipTo(firstSeq uint64) error {
 	return nil
 }
 
+// syncThrough waits until every record up to seq is appended, then forces
+// them to stable storage regardless of policy.
+func (l *Log) syncThrough(seq uint64) error {
+	l.mu.Lock()
+	for l.sticky == nil && !l.closed && l.appendedSeq < seq {
+		l.seqCond.Wait()
+	}
+	err := l.sticky
+	if err == nil && l.appendedSeq < seq {
+		err = ErrClosed
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return l.Sync()
+}
+
 // Sync forces everything appended so far to stable storage, regardless of
 // policy.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitSync()
 	if l.sticky != nil {
 		return l.sticky
 	}
@@ -486,6 +532,7 @@ func (l *Log) Sync() error {
 		l.fail(fmt.Errorf("durable: fsync: %w", err))
 		return l.sticky
 	}
+	l.fsyncs++
 	l.flushedSeq = l.appendedSeq
 	l.flushCond.Broadcast()
 	return nil
@@ -495,15 +542,18 @@ func (l *Log) Sync() error {
 // fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.awaitSync()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
 	var err error
 	if l.sticky == nil {
 		if err = l.buf.Flush(); err == nil {
-			err = l.f.Sync()
+			if err = l.f.Sync(); err == nil {
+				l.fsyncs++
+			}
 		}
 		l.flushedSeq = l.appendedSeq
 	}
@@ -513,12 +563,6 @@ func (l *Log) Close() error {
 	}
 	l.seqCond.Broadcast()
 	l.flushCond.Broadcast()
-	stop := l.stopFlusher
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.flusherDone
-	}
 	return err
 }
 

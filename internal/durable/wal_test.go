@@ -489,6 +489,29 @@ func TestSnapshotRenameCrashpoints(t *testing.T) {
 	}
 }
 
+// TestOlderSnapshotRefused: compaction and a follower's replica snapshot
+// install independently, so one that captured an older watermark can finish
+// last; it must not replace the newer snapshot, whose watermark the log's
+// remaining segments start after.
+func TestOlderSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, "norec", dir, Options{})
+	defer e.WALClose()
+	if err := e.log.WriteSnapshot(10, []Entry{{ID: 0, V: val.OfInt(10)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.log.WriteSnapshot(5, []Entry{{ID: 0, V: val.OfInt(5)}}); err == nil {
+		t.Error("a snapshot at 5 replaced the one at 10")
+	}
+	rec, err := recoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.snapSeq != 10 || rec.values[0].Load() != 10 {
+		t.Errorf("recovered snapshot %d with cell 0 = %v, want 10/10", rec.snapSeq, rec.values[0].Load())
+	}
+}
+
 // TestSequenceGapIsCorruption: a log whose dense seq prefix is broken (a
 // record deleted mid-stream) must be refused.
 func TestSequenceGapIsCorruption(t *testing.T) {

@@ -427,4 +427,10 @@ type DurabilityInfo struct {
 	// TornTailBytes is how many bytes of torn final record recovery
 	// truncated from the log tail (0 for a clean log).
 	TornTailBytes int64 `json:"torn_tail_bytes,omitempty"`
+	// Commits counts the redo records journaled since boot, and Fsyncs the
+	// WAL segment fsyncs that made records durable (commit flushes, segment
+	// rotation, WALSync, WALClose); Commits/Fsyncs is the mean number of
+	// commits each fsync covered.
+	Commits uint64 `json:"commits"`
+	Fsyncs  uint64 `json:"fsyncs"`
 }

@@ -57,8 +57,9 @@ type FollowerStats struct {
 	// Reconnects counts dial attempts after the first connection was
 	// established — the flap/backoff counter.
 	Reconnects uint64
-	// Snapshots counts snapshot installs (initial catch-up and primary
-	// resyncs alike).
+	// Snapshots counts snapshots received from the primary (initial
+	// catch-up and resyncs alike), counted before the install publishes
+	// its AppliedSeq.
 	Snapshots uint64
 	// Promoted reports the follower was sealed and promoted to primary.
 	Promoted bool
@@ -204,12 +205,14 @@ func (f *Follower) stream(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
+			// Counted before the install publishes its watermark, so a
+			// Stats reader that sees the new AppliedSeq sees the count too.
+			f.snapshots.Add(1)
 			if seq > f.eng.AppendedSeq() {
 				if err := f.eng.InstallReplicaSnapshot(seq, values); err != nil {
 					return err
 				}
 			}
-			f.snapshots.Add(1)
 			if err := f.send(conn, seqFrame(msgAck, f.eng.AppendedSeq())); err != nil {
 				return err
 			}

@@ -191,6 +191,42 @@ func TestServiceStatsPerOp(t *testing.T) {
 	}
 }
 
+// TestServiceStatsDurabilityCounters: over a durable engine the STATS
+// durability block carries the WAL's journaled-commit and fsync counters,
+// under their JSON names, next to the boot-time recovery fields.
+func TestServiceStatsDurabilityCounters(t *testing.T) {
+	eng, err := engine.New("durable/norec", engine.Options{WALDir: t.TempDir(), Fsync: "always"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(eng, Config{Keys: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sess := svc.Session()
+	defer sess.Close()
+	const writes = 5
+	for i := 0; i < writes; i++ {
+		exec(t, sess, &Request{Op: OpWrite, Key: i % 4, Val: int64(i)})
+	}
+	st := svc.Stats()
+	if st.Durability == nil {
+		t.Fatal("durable engine reports no durability block")
+	}
+	// fsync=always: one journaled record and one fsync per acked write.
+	if d := st.Durability; d.Commits != writes || d.Fsyncs != writes {
+		t.Errorf("durability commits=%d fsyncs=%d, want %d each", d.Commits, d.Fsyncs, writes)
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(b); !strings.Contains(s, `"commits":5,"fsyncs":5`) || !strings.Contains(s, `"fsync_policy":"always"`) {
+		t.Errorf("STATS JSON lacks the durability counters: %s", s)
+	}
+}
+
 func TestServiceClose(t *testing.T) {
 	for _, mode := range []string{ModeThread, ModePool} {
 		t.Run(mode, func(t *testing.T) {
