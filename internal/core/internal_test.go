@@ -378,3 +378,9 @@ func TestSequentialFuzzAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// settled resolves o's locator from outside any transaction, through a
+// throwaway thread whose runtime keeps maxVersions versions per object.
+func (o *Object) settled(maxVersions int) *locator {
+	return o.settle(counterRT(func(c *Config) { c.MaxVersions = maxVersions }).Thread(0))
+}

@@ -39,7 +39,9 @@ type locator struct {
 
 // version is one committed (or tentative) value of an object. Versions form
 // a newest-first chain through prev; the chain is truncated to the runtime's
-// MaxVersions on settle.
+// MaxVersions on settle, and the node cut off is retired to the settling
+// thread, which rebuilds it as a later head once no thread can still reach
+// it (see Thread.newVersion).
 type version struct {
 	// value is the payload: the typed representation with an unboxed
 	// numeric lane (val.Value), so int-valued writes never box. It is
@@ -68,13 +70,14 @@ type version struct {
 	// fixedUB pointer: the settler that builds this version computes the
 	// predecessor's final bound (CT−1) here, so a supersession allocates no
 	// separate Timestamp. Written once, by this version's builder, before
-	// either CAS in settled can publish it.
+	// either CAS in settle can publish it.
 	predUB timebase.Timestamp
 
 	// selfLoc is the writer-free locator that publishes this version as the
-	// object's head, embedded so settling a committed writer allocates the
-	// version node and nothing else. Filled by the builder before the
-	// locator CAS; never mutated afterwards.
+	// object's head, embedded so settling a committed writer needs the
+	// version node and nothing else (and settling an aborted writer needs
+	// nothing at all: it republishes the old head's selfLoc). Filled by the
+	// builder before the locator CAS; never mutated afterwards.
 	selfLoc locator
 }
 
@@ -89,11 +92,14 @@ func NewObject(initial any) *Object {
 	return o
 }
 
-// settled returns the object's locator after resolving any terminal writer.
+// settle returns the object's locator after resolving any terminal writer.
 // The returned locator's writer is nil, active, or committing — never
-// committed or aborted. Settling is idempotent and safe to race: the new
-// head version node is freshly built by each settler and only one CAS wins.
-func (o *Object) settled(maxVersions int) *locator {
+// committed or aborted. Settling is idempotent and safe to race: each
+// settler builds its own candidate head and only one locator CAS wins.
+//
+// th supplies and receives recycled version nodes; it must be inside a Run
+// so the nodes it loads stay valid.
+func (o *Object) settle(th *Thread) *locator {
 	for {
 		loc := o.loc.Load()
 		w := loc.writer
@@ -103,43 +109,57 @@ func (o *Object) settled(maxVersions int) *locator {
 		switch w.Status() {
 		case StatusCommitted:
 			ct := w.CT()
-			head := &version{value: loc.tent.value, validFrom: ct}
+			head := th.newVersion()
+			head.value = loc.tent.value
+			head.validFrom = ct
 			head.prev.Store(loc.cur)
+			head.selfLoc = locator{cur: head}
 			// Fix the superseded version's upper bound *before* publishing
 			// the new head: a reader must never observe the new locator and
 			// then find the old head still claiming to be current. The
 			// bound lives in the candidate head's predUB buffer — racing
 			// settlers compute the identical value (ct is fixed), and each
-			// writes only its own freshly built head, so whichever pointer
-			// wins the CAS the published bound is CT−1. (A head that loses
-			// the locator CAS but wins this one stays reachable through the
-			// fixedUB pointer alone — one stale node per supersession at
-			// worst, the price of not allocating a Timestamp per settle.)
+			// writes only its own candidate, so whichever pointer wins the
+			// CAS the published bound is CT−1.
 			head.predUB = ct.Pred()
-			loc.cur.fixedUB.CompareAndSwap(nil, &head.predUB)
-			trim(head, maxVersions)
-			head.selfLoc.cur = head
-			o.loc.CompareAndSwap(loc, &head.selfLoc)
+			bound := loc.cur.fixedUB.CompareAndSwap(nil, &head.predUB)
+			if o.loc.CompareAndSwap(loc, &head.selfLoc) {
+				// Only the publisher trims, so each cut link has one owner.
+				trim(th, head)
+			} else if !bound {
+				// Lost both CASes: the candidate was never visible.
+				th.putVersion(head)
+			}
+			// A candidate that lost the locator CAS but won the bound stays
+			// reachable through fixedUB alone; it is left to the GC.
 		case StatusAborted:
-			o.loc.CompareAndSwap(loc, &locator{cur: loc.cur})
+			// loc.cur is the committed head, whose own locator says exactly
+			// "cur, no writer". Republishing it is ABA-safe: a stale CAS
+			// against it expects that same state.
+			o.loc.CompareAndSwap(loc, &loc.cur.selfLoc)
 		default:
 			return loc
 		}
 	}
 }
 
-// trim cuts the version chain after maxVersions entries. maxVersions is at
-// least 1 (the head itself).
-func trim(head *version, maxVersions int) {
+// trim cuts the version chain after the runtime's MaxVersions entries
+// (≥ 1: the head itself) and retires the node cut off. The cut is a CAS on
+// the shared link, so when publishers of successive heads race, each node
+// is retired at most once; anything still hanging off the retired node is
+// left to the GC.
+func trim(th *Thread, head *version) {
 	v := head
-	for i := 1; i < maxVersions; i++ {
+	for i := 1; i < th.rt.maxVersions; i++ {
 		next := v.prev.Load()
 		if next == nil {
 			return
 		}
 		v = next
 	}
-	v.prev.Store(nil)
+	if cut := v.prev.Load(); cut != nil && v.prev.CompareAndSwap(cut, nil) {
+		th.retireVersion(cut)
+	}
 }
 
 // upperBound returns ⌈v.R⌉ as stored: the fixed bound if the version has
@@ -178,6 +198,16 @@ func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timeb
 		return *ub
 	}
 	loc := o.loc.Load()
+	if loc.cur != v {
+		// v was superseded between the two loads (a new writer may already
+		// own the object, so the writer check below would wrongly answer
+		// t). Settle stores fixedUB before publishing the superseding head,
+		// so it is visible now. A tentative version (asTx's own write) is
+		// never loc.cur and has no bound; it falls through.
+		if ub := v.fixedUB.Load(); ub != nil {
+			return *ub
+		}
+	}
 	if w := loc.writer; w != nil {
 		st := w.Status()
 		if st == StatusCommitting || st == StatusCommitted {

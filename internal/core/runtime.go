@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/timebase"
 )
@@ -46,6 +47,12 @@ type Config struct {
 // policy, and version-management settings shared by a set of worker
 // threads. Create per-worker Threads with Thread; aggregate statistics with
 // Stats after the workers have quiesced.
+//
+// The runtime also keeps the global epoch of its memory reclamation
+// (epoch-based, after Fraser 2004): threads recycle their finished attempts
+// and the version nodes cut off object histories, and an epoch stamp tells
+// them when no other thread can still hold such a node (see
+// Thread.retireTx and Thread.retireVersion).
 type Runtime struct {
 	tb          timebase.TimeBase
 	cm          ContentionManager
@@ -53,8 +60,14 @@ type Runtime struct {
 	disableExt  bool
 	si          bool
 
-	mu      sync.Mutex
-	threads []*Thread
+	// epoch is the global reclamation epoch. It starts at 1, because a
+	// thread's announcement of 0 means "in no transaction".
+	epoch atomic.Uint64
+
+	mu sync.Mutex // serializes registrations
+	// threads is the thread registry, scanned lock-free by tryAdvance.
+	// Threads are never removed; idle ones announce 0.
+	threads atomic.Pointer[[]*Thread]
 }
 
 // NewRuntime validates the configuration and builds a runtime.
@@ -71,13 +84,16 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Manager == nil {
 		cfg.Manager = defaultManager{}
 	}
-	return &Runtime{
+	rt := &Runtime{
 		tb:          cfg.TimeBase,
 		cm:          cfg.Manager,
 		maxVersions: cfg.MaxVersions,
 		disableExt:  cfg.DisableExtension,
 		si:          cfg.SnapshotIsolation,
-	}, nil
+	}
+	rt.epoch.Store(1)
+	rt.threads.Store(new([]*Thread))
+	return rt, nil
 }
 
 // MustRuntime is NewRuntime for static configurations; it panics on error.
@@ -106,9 +122,30 @@ func (rt *Runtime) SnapshotIsolation() bool { return rt.si }
 func (rt *Runtime) Thread(id int) *Thread {
 	th := &Thread{rt: rt, id: id, clock: rt.tb.Clock(id)}
 	rt.mu.Lock()
-	rt.threads = append(rt.threads, th)
+	// Appending in place is safe for concurrent scans: a reader holding
+	// the old slice header never looks past its length.
+	threads := append(*rt.threads.Load(), th)
+	rt.threads.Store(&threads)
 	rt.mu.Unlock()
 	return th
+}
+
+// tryAdvance moves the global epoch one step if every thread that has
+// announced an epoch announced the current one, and returns the epoch it
+// leaves in place. After two steps past the epoch at which a node was
+// unlinked, every thread that could have loaded it has finished the
+// attempt in which it did.
+func (rt *Runtime) tryAdvance() uint64 {
+	e := rt.epoch.Load()
+	for _, th := range *rt.threads.Load() {
+		if a := th.announced.Load(); a != 0 && a != e {
+			return e
+		}
+	}
+	if rt.epoch.CompareAndSwap(e, e+1) {
+		return e + 1
+	}
+	return rt.epoch.Load()
 }
 
 // Stats sums the per-thread counters. Call it only while no thread is
@@ -116,10 +153,8 @@ func (rt *Runtime) Thread(id int) *Thread {
 // unsynchronized so that collecting statistics cannot perturb the
 // scalability the benchmarks measure).
 func (rt *Runtime) Stats() Stats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	var total Stats
-	for _, th := range rt.threads {
+	for _, th := range *rt.threads.Load() {
 		total.add(&th.stats)
 	}
 	return total

@@ -20,6 +20,10 @@ import (
 // of all object versions accessed so far, and every access re-checks that
 // the intersection is non-empty. Reads are invisible; writes register the
 // transaction in the object's locator.
+//
+// A Tx lives only for one attempt, but its memory is recycled by its
+// Thread for later attempts once no other thread can still hold it (see
+// Thread.retireTx), so it must not be retained past the Run callback.
 type Tx struct {
 	th       *Thread
 	rt       *Runtime
@@ -72,19 +76,21 @@ type Tx struct {
 	ctBuf timebase.Timestamp
 
 	// inline is the initial backing array of entries: the access set of a
-	// small transaction lives inside the Tx, so the whole attempt costs one
-	// allocation. Safe precisely because the Tx is per-attempt — helpers
-	// may validate this frozen array long after the owner moved on to a new
-	// attempt (and a new Tx), which is why thread.go never recycles
-	// attempts (see newTx).
+	// small transaction lives inside the Tx. Helpers may validate the
+	// frozen array after the owner moved on to a new attempt; the owner
+	// overwrites it only when the Tx is reused, which the reclamation epoch
+	// delays until no helper can still be reading it. A larger access set
+	// moves to a heap array that the Tx keeps for its later attempts.
 	inline [smallAccessSet]entry
-	// wnext/wslots are the inline tentative version + locator pairs handed
-	// out by newWriteSlot: the first smallWriteSlots acquisitions of an
-	// attempt publish locators that live inside the Tx instead of two heap
-	// nodes per write. Like inline, this is sound only because the Tx is
-	// never reused.
+	// wnext/wslots are the tentative version + locator pairs handed out by
+	// newWriteSlot: the first smallWriteSlots acquisitions of an attempt
+	// publish locators that live inside the Tx, later ones use the heap
+	// slots in wmore, which the Tx keeps across reuse. Published locators
+	// stay readable by other threads after the attempt ends, under the
+	// same epoch rule as inline.
 	wnext  int
 	wslots [smallWriteSlots]wslot
+	wmore  []*wslot
 }
 
 type entry struct {
@@ -93,9 +99,8 @@ type entry struct {
 	written bool
 }
 
-// wslot is one inline write acquisition: the tentative version and the
-// locator that registers it. Grouped so overflow slots (and the Thread's
-// recycled spare) stay a single allocation.
+// wslot is one write acquisition: the tentative version and the locator
+// that registers it. Grouped so an overflow slot is a single allocation.
 type wslot struct {
 	ver version
 	loc locator
@@ -129,7 +134,7 @@ func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
 // begin initializes the attempt (Algorithm 2, Start).
 func (tx *Tx) begin() {
-	tx.entries = tx.inline[:0]
+	tx.entries = tx.entries[:0]
 	tx.start = tx.th.clock.GetTime()
 	tx.lower = tx.start
 	tx.upper = timebase.Inf
@@ -262,20 +267,18 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	}
 	// Acquisition loop (lines 11–21): become the object's registered writer,
 	// resolving conflicts through helping and the contention manager. The
-	// tentative version and its locator are built once (from an inline slot
-	// while any remain) and reused across CAS failures — until the CAS
-	// succeeds they are invisible to every other thread. If the loop exits
-	// without publishing a heap-allocated slot, the slot goes back to the
-	// Thread's recycler.
+	// tentative version and its locator are taken from the Tx's write slots
+	// once and reused across CAS failures — until the CAS succeeds they are
+	// invisible to every other thread. A loop that gives up aborts the
+	// attempt, so a slot it leaves unpublished is simply not handed out
+	// again before the Tx is reused.
 	var tent *version
 	var nloc *locator
-	var slot *wslot // non-nil iff tent/nloc came from a recyclable heap slot
 	for n := 0; ; n++ {
 		if tx.Status() != StatusActive {
-			tx.th.stash(slot)
 			return tx.errFromStatus()
 		}
-		loc := o.settled(tx.rt.maxVersions)
+		loc := o.settle(tx.th)
 		if w := loc.writer; w != nil && w != tx {
 			switch w.Status() {
 			case StatusCommitting:
@@ -289,7 +292,6 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 				case AbortSelf:
 					tx.selfAbort(CauseConflict)
 					tx.th.stats.AbortConflict++
-					tx.th.stash(slot)
 					return ErrAborted
 				default:
 					backoff(n)
@@ -301,7 +303,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		}
 		base := loc.cur
 		if tent == nil {
-			tent, nloc, slot = tx.newWriteSlot()
+			tent, nloc = tx.newWriteSlot()
 			tent.value = v
 			nloc.writer, nloc.tent = tx, tent
 		}
@@ -309,7 +311,11 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		if !o.loc.CompareAndSwap(loc, nloc) {
 			continue
 		}
+		// Record the acquisition before anything can abort the attempt:
+		// retireTx settles exactly the written entries, and no locator may
+		// still name the Tx when it is recycled.
 		tx.update = true
+		tx.addEntry(o, tent, true)
 		// Line 22: if the base version is possibly more recent than the
 		// snapshot's upper bound, extending may still save the transaction.
 		if base.validFrom.PossiblyLater(tx.upper) {
@@ -324,7 +330,6 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			tx.th.stats.AbortSnapshot++
 			return ErrAborted
 		}
-		tx.addEntry(o, tent, true)
 		return nil
 	}
 }
@@ -339,8 +344,8 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 const smallAccessSet = 8
 
 // smallWriteSlots is the number of inline tentative-version/locator pairs
-// embedded in Tx. Writes beyond it fall back to one heap allocation per
-// acquisition (recycled through the Thread when provably unpublished).
+// embedded in Tx. Writes beyond it use heap slots that the Tx allocates
+// once and keeps for its later attempts.
 const smallWriteSlots = 4
 
 // lookup finds the most recent entry for o (a write upgrade appends a
@@ -364,23 +369,23 @@ func (tx *Tx) lookup(o *Object) (int, bool) {
 }
 
 // newWriteSlot hands out the tentative version and locator for one write
-// acquisition: an inline Tx slot while any remain, then the Thread's
-// recycled spare, then a fresh heap slot. The returned slot pointer is
-// non-nil only for the heap-backed cases, which are the only ones worth
-// recycling — inline slots die with their Tx.
-func (tx *Tx) newWriteSlot() (*version, *locator, *wslot) {
+// acquisition: an inline Tx slot while any remain, then the Tx's heap
+// slots, growing them by one when all are taken.
+func (tx *Tx) newWriteSlot() (*version, *locator) {
+	var s *wslot
 	if tx.wnext < smallWriteSlots {
-		s := &tx.wslots[tx.wnext]
-		tx.wnext++
-		return &s.ver, &s.loc, nil
-	}
-	s := tx.th.spare
-	if s != nil {
-		tx.th.spare = nil
+		s = &tx.wslots[tx.wnext]
+	} else if i := tx.wnext - smallWriteSlots; i < len(tx.wmore) {
+		s = tx.wmore[i]
 	} else {
+		if tx.wmore == nil {
+			tx.wmore = make([]*wslot, 0, 2*smallWriteSlots)
+		}
 		s = new(wslot)
+		tx.wmore = append(tx.wmore, s)
 	}
-	return &s.ver, &s.loc, s
+	tx.wnext++
+	return &s.ver, &s.loc
 }
 
 // addEntry appends (o, v) to T.O and indexes it. A write upgrade leaves the
@@ -414,7 +419,7 @@ func (tx *Tx) addEntry(o *Object, v *version, written bool) {
 // them abort-free under concurrent updates as long as history suffices.
 func (tx *Tx) getVersion(o *Object) (*version, bool) {
 	for {
-		loc := o.settled(tx.rt.maxVersions)
+		loc := o.settle(tx.th)
 		if w := loc.writer; w != nil && w != tx && w.Status() == StatusCommitting {
 			// Line 13: help the committing writer to completion so the
 			// settled state (and its commit time) becomes definite.

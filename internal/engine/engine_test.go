@@ -445,8 +445,9 @@ func TestCrossEngineCellPanics(t *testing.T) {
 // transaction on the same Thread must leave the outer retry loop's cached
 // closure intact — regression test for the save/restore in the adapter
 // threads. Only the engines whose native runtimes tolerate nesting are
-// driven: the LSA core builds a fresh Tx per attempt and wordstm likewise,
-// so the nested Run executes as a flat, independent transaction; the
+// driven: the LSA core gives every attempt its own Tx (a nested Run takes
+// a different recycled one) and wordstm likewise, so the nested Run
+// executes as a flat, independent transaction; the
 // recycled-Tx engines (norec, tl2, glock, rstmval) share one native
 // transaction per thread and do not support nesting at any layer.
 func TestNestedRunSameThread(t *testing.T) {

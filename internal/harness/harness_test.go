@@ -59,8 +59,11 @@ func TestValidateAllocTelemetryConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One axis zeroed while the other is positive: a stripped field.
-	res.AllocsPerCommit = 0
+	// One axis zeroed while the other is positive: a stripped field. The
+	// positive axis is set, not measured: the LSA core recycles its
+	// transactions and versions, so a short single-worker interval may
+	// allocate nothing at all.
+	res.AllocsPerCommit, res.BytesPerCommit = 0, 64
 	if err := res.Validate(); err == nil {
 		t.Error("allocs=0 with bytes>0 must be rejected (stripped field)")
 	}

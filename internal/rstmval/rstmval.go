@@ -167,20 +167,12 @@ func (tx *Tx) Read(o *Object) (any, error) {
 	return v.Load(), nil
 }
 
-// ReadValue opens the object, revalidating the read set first if the commit
+// ReadValue opens the object, then revalidates the read set if the commit
 // counter indicates system progress since the last check. The version-word
 // sandwich around the two-word cell snapshot discards any torn pair.
 func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	if idx, ok := tx.wlookup(o); ok {
 		return tx.writes[idx].v, nil
-	}
-	// The heuristic: read the global counter on *every* access; skip
-	// validation while it is unchanged.
-	if cc := tx.stm.cc.Load(); cc != tx.lastCC {
-		if !tx.validate() {
-			return val.Value{}, errAbortSnapshot
-		}
-		tx.lastCC = cc
 	}
 	m1 := o.meta.Load()
 	if locked(m1) {
@@ -191,6 +183,18 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		return val.Value{}, errAbortSnapshot
 	}
 	tx.reads = append(tx.reads, readEntry{obj: o, meta: m1})
+	// The heuristic: poll the global counter on *every* access and skip
+	// validation while it is unchanged. The poll comes after the read, as
+	// in RSTM: a committer bumps the counter before writing back, so a
+	// value from a commit that landed since the last poll always shows up
+	// as a moved counter here. Polling first would let a whole commit slip
+	// in between poll and read.
+	if cc := tx.stm.cc.Load(); cc != tx.lastCC {
+		if !tx.validate() {
+			return val.Value{}, errAbortSnapshot
+		}
+		tx.lastCC = cc
+	}
 	return val.Decode(num, box), nil
 }
 

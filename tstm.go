@@ -47,7 +47,8 @@ import (
 )
 
 // Tx is a transaction attempt. See the core engine for the protocol; user
-// code only passes it to Var.Get and Var.Set.
+// code only passes it to Var.Get and Var.Set, and only inside the callback
+// that received it: the runtime recycles it for later attempts.
 type Tx = core.Tx
 
 // Stats aggregates commit/abort/extension counters across threads.
